@@ -351,7 +351,7 @@ func readAllRows(plan *core.Plan, path string) ([]core.Row, error) {
 	var rows []core.Row
 	for _, sp := range splits {
 		err := dataformat.StreamSplit(plan.InputSchema, sp, func(rec dataformat.Record) error {
-			rows = append(rows, core.Row{Values: append([]dataformat.Value(nil), rec.Values...)})
+			rows = append(rows, core.Row{Values: rec.Values})
 			return nil
 		})
 		if err != nil {

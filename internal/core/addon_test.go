@@ -40,6 +40,8 @@ func TestRegisterAddOnDuplicatePanics(t *testing.T) {
 
 func TestRegisterCustomAddOn(t *testing.T) {
 	RegisterAddOn("test_first", func() AddOn { return firstAddOn{} })
+	// Unregister so the test repeats under -count>1.
+	t.Cleanup(func() { delete(addOnRegistry, "test_first") })
 	a, err := NewAddOn("test_first")
 	if err != nil {
 		t.Fatal(err)

@@ -124,12 +124,16 @@ func (st *execState) runMoves(id string, np, scanRows int) error {
 	st.chargeDeriveScan(scanRows)
 	rows := st.data.Rows
 	if err := st.mr.Map(func(emit mrmpi.Emitter) error {
+		var key [4]byte
+		var buf []byte
 		for _, row := range rows {
 			part, bare, err := splitMoveRow(row, np)
 			if err != nil {
 				return fmt.Errorf("%s: %w", id, err)
 			}
-			emit(encodeUint32(uint32(part)), encodeEntryRow(bare))
+			binary.LittleEndian.PutUint32(key[:], uint32(part))
+			buf = AppendEntry(buf[:0], bare, nil)
+			emit(key[:], buf)
 		}
 		return nil
 	}); err != nil {
@@ -140,13 +144,17 @@ func (st *execState) runMoves(id string, np, scanRows int) error {
 	}
 	defer st.comm.Cluster().Span("core", "patch")()
 	st.partitions = map[int][]Row{}
+	// Arrivals are spliced one by one into long-lived resident images
+	// whose other rows come and go with later batches, so each arrival gets
+	// its own allocation: a shared slab would stay pinned by any survivor.
+	dec := NewRowDecoder(0, 0)
 	if err := st.mr.Each(func(kv keyval.KV) error {
 		part := int(binary.LittleEndian.Uint32(kv.Key))
-		arrived, err := decodeEntry(kv.Value)
+		arrived, err := dec.AppendEntryRows(st.partitions[part], kv.Value)
 		if err != nil {
 			return err
 		}
-		st.partitions[part] = append(st.partitions[part], arrived...)
+		st.partitions[part] = arrived
 		return nil
 	}); err != nil {
 		return err

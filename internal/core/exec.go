@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 
 	"repro/internal/aspas"
 	"repro/internal/cluster"
@@ -247,12 +248,23 @@ func ExecuteOpts(cl *cluster.Cluster, plan *Plan, in Input, opts ExecOptions) (*
 		}
 	}
 
-	res.Partitions = make([][]Row, plan.NumPartitions)
+	sizes := make([]int, plan.NumPartitions)
 	for rank := 0; rank < p; rank++ {
 		for part, rows := range partsByRank[rank] {
 			if part < 0 || part >= plan.NumPartitions {
 				return nil, fmt.Errorf("core: rank %d produced out-of-range partition %d", rank, part)
 			}
+			sizes[part] += len(rows)
+		}
+	}
+	res.Partitions = make([][]Row, plan.NumPartitions)
+	for part, n := range sizes {
+		if n > 0 {
+			res.Partitions[part] = make([]Row, 0, n)
+		}
+	}
+	for rank := 0; rank < p; rank++ {
+		for part, rows := range partsByRank[rank] {
 			res.Partitions[part] = append(res.Partitions[part], rows...)
 		}
 	}
@@ -278,9 +290,10 @@ func prepareLocals(plan *Plan, in Input, p int) ([][]Row, error) {
 		for i, sp := range splits {
 			// Stream the split record by record: ingest never holds the whole
 			// input (or even a whole split's raw bytes) in memory at once.
+			// Each record's values are freshly decoded, so the row adopts them.
 			var rows []Row
 			err := dataformat.StreamSplit(plan.InputSchema, sp, func(rec dataformat.Record) error {
-				rows = append(rows, Row{Values: append([]dataformat.Value(nil), rec.Values...)})
+				rows = append(rows, Row{Values: rec.Values})
 				return nil
 			})
 			if err != nil {
@@ -456,12 +469,16 @@ func (st *execState) runSort(j *SortJob) error {
 	// reduce-key.
 	rows := st.data.Rows
 	if err := st.mr.Map(func(emit mrmpi.Emitter) error {
+		var key [4]byte
+		var buf []byte
 		for _, row := range rows {
 			bucket := sample.Locate(splitters, keyAsSortable(row.Values[col]))
 			if j.Descending {
 				bucket = reducers - 1 - bucket
 			}
-			emit(encodeUint32(uint32(bucket)), EncodeRow(row))
+			binary.LittleEndian.PutUint32(key[:], uint32(bucket))
+			buf = AppendRow(buf[:0], row)
+			emit(key[:], buf)
 		}
 		return nil
 	}); err != nil {
@@ -473,11 +490,12 @@ func (st *execState) runSort(j *SortJob) error {
 
 	// Phase 3: each reducer sorts its rows by the real key and removes the
 	// reduce-key. Each streams spilled shuffle output a frame at a time;
-	// DecodeRow copies, so the rows own their values.
+	// the decoder copies, so the rows own their values.
 	defer st.comm.Cluster().Span("core", "sort")()
 	out := make([]Row, 0, st.mr.Pairs())
+	dec := NewRowDecoder(st.mr.Pairs(), 0)
 	if err := st.mr.Each(func(kv keyval.KV) error {
-		row, err := DecodeRow(kv.Value)
+		row, err := dec.Row(kv.Value)
 		if err != nil {
 			return err
 		}
@@ -540,8 +558,16 @@ func (st *execState) runGroup(j *GroupJob) error {
 
 	rows := st.data.Rows
 	if err := st.mr.Map(func(emit mrmpi.Emitter) error {
+		var key, buf []byte
 		for _, row := range rows {
-			emit([]byte(row.Values[col].AsString()), EncodeRow(row))
+			// The same bytes as AsString, without its allocations.
+			if v := row.Values[col]; v.IsStr {
+				key = append(key[:0], v.Str...)
+			} else {
+				key = strconv.AppendInt(key[:0], v.Int, 10)
+			}
+			buf = AppendRow(buf[:0], row)
+			emit(key, buf)
 		}
 		return nil
 	}); err != nil {
@@ -567,20 +593,26 @@ func (st *execState) runGroup(j *GroupJob) error {
 		}
 	}
 
-	groups := make([]Group, 0, len(st.mr.KMV()))
-	for _, g := range st.mr.KMV() {
-		members := make([]Row, 0, len(g.Values))
-		for _, v := range g.Values {
-			row, err := DecodeRow(v)
-			if err != nil {
+	kmv := st.mr.KMV()
+	total := 0
+	for _, g := range kmv {
+		total += len(g.Values)
+	}
+	// Every member row gets spare capacity for the add-on attributes, so
+	// appending them below stays inside the row's own slab range.
+	dec := NewRowDecoder(total, len(j.AddOns))
+	groups := make([]Group, 0, len(kmv))
+	attrs := make([]dataformat.Value, len(j.AddOns))
+	for _, g := range kmv {
+		members := make([]Row, len(g.Values))
+		for i, v := range g.Values {
+			if members[i], err = dec.Row(v); err != nil {
 				return err
 			}
-			members = append(members, row)
 		}
 		// Add-ons compute over the original member rows, then the attribute
 		// is appended to every member (Fig. 11 step 2: count adds the
 		// indegree attribute on each edge).
-		attrs := make([]dataformat.Value, len(j.AddOns))
 		for i, a := range j.AddOns {
 			attrs[i], err = a.AddOn.Compute(members, valueIdx[i])
 			if err != nil {
@@ -599,7 +631,7 @@ func (st *execState) runGroup(j *GroupJob) error {
 		st.data = &Dataset{Schema: outSchema, Packed: true, Groups: groups}
 		return nil
 	}
-	var flat []Row
+	flat := make([]Row, 0, total)
 	for _, g := range groups {
 		flat = append(flat, g.Rows...)
 	}
@@ -727,24 +759,27 @@ func (st *execState) runDistribute(j *DistributeJob) error {
 
 	// Reducers: decode entries, unpack, drop attributes, store rows per
 	// partition. Each streams spilled shuffle output a frame at a time;
-	// decodeEntry copies, so the rows own their values.
+	// the decoder copies, so the rows own their values.
 	defer st.comm.Cluster().Span("core", "write")()
 	inArity := len(st.plan.InputSchema.Fields)
 	st.partitions = map[int][]Row{}
+	dec := NewRowDecoder(st.mr.Pairs(), 0)
 	if err := st.mr.Each(func(kv keyval.KV) error {
 		part := int(binary.LittleEndian.Uint32(kv.Key))
-		rows, err := decodeEntry(kv.Value)
+		rows := st.partitions[part]
+		from := len(rows)
+		rows, err := dec.AppendEntryRows(rows, kv.Value)
 		if err != nil {
 			return err
 		}
 		if j.RestoreFormat {
-			for i := range rows {
+			for i := from; i < len(rows); i++ {
 				if len(rows[i].Values) > inArity {
 					rows[i].Values = rows[i].Values[:inArity]
 				}
 			}
 		}
-		st.partitions[part] = append(st.partitions[part], rows...)
+		st.partitions[part] = rows
 		return nil
 	}); err != nil {
 		return err
@@ -756,12 +791,16 @@ func (st *execState) runDistribute(j *DistributeJob) error {
 // assignPartitions routes each entry of d to a partition under the policy
 // and emits (partition, encoded entry).
 func (st *execState) assignPartitions(d *Dataset, policy DistrPolicy, np int, emit mrmpi.Emitter) error {
+	var key [4]byte
+	var buf []byte
 	return st.eachAssignment(d, policy, np, func(i, part int) error {
+		binary.LittleEndian.PutUint32(key[:], uint32(part))
 		if d.Packed {
-			emit(encodeUint32(uint32(part)), encodeEntryGroup(d.Groups[i]))
+			buf = AppendEntry(buf[:0], Row{}, &d.Groups[i])
 		} else {
-			emit(encodeUint32(uint32(part)), encodeEntryRow(d.Rows[i]))
+			buf = AppendEntry(buf[:0], d.Rows[i], nil)
 		}
+		emit(key[:], buf)
 		return nil
 	})
 }
@@ -924,44 +963,6 @@ func (st *execState) balancedAssignment(d *Dataset, np int) ([]int, error) {
 // order aligned with rank order for contiguous buckets).
 func bucketPartitioner(kv keyval.KV, nranks int) int {
 	return int(binary.LittleEndian.Uint32(kv.Key)) % nranks
-}
-
-// Entry encoding: one tag byte distinguishes rows from packed groups so
-// branches of mixed format can share one shuffle.
-func encodeEntryRow(r Row) []byte {
-	return append([]byte{0}, EncodeRow(r)...)
-}
-
-func encodeEntryGroup(g Group) []byte {
-	return append([]byte{1}, EncodeGroup(g)...)
-}
-
-func decodeEntry(buf []byte) ([]Row, error) {
-	if len(buf) < 1 {
-		return nil, fmt.Errorf("core: empty entry")
-	}
-	switch buf[0] {
-	case 0:
-		r, err := DecodeRow(buf[1:])
-		if err != nil {
-			return nil, err
-		}
-		return []Row{r}, nil
-	case 1:
-		g, err := DecodeGroup(buf[1:])
-		if err != nil {
-			return nil, err
-		}
-		return g.Rows, nil
-	default:
-		return nil, fmt.Errorf("core: unknown entry tag %d", buf[0])
-	}
-}
-
-func encodeUint32(v uint32) []byte {
-	b := make([]byte, 4)
-	binary.LittleEndian.PutUint32(b, v)
-	return b
 }
 
 func encodeInt64s(vs []int64) []byte {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/dataformat"
@@ -20,8 +21,11 @@ func FuzzDecodeRow(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Valid decodes must re-encode to a decodable buffer with the same
-		// rendering.
+		// The encoding is canonical: every accepted input re-encodes to
+		// exactly itself, and re-decodes to the same rendering.
+		if enc := EncodeRow(row); !bytes.Equal(enc, data) {
+			t.Fatalf("re-encode changed the bytes: %x vs %x", enc, data)
+		}
 		back, err := DecodeRow(EncodeRow(row))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
@@ -37,10 +41,17 @@ func FuzzDecodeGroup(f *testing.F) {
 	f.Add(EncodeGroup(Group{Key: dataformat.IntVal(1), Rows: []Row{
 		{Values: []dataformat.Value{dataformat.IntVal(2)}},
 	}}))
+	f.Add(EncodeGroup(Group{Key: dataformat.StrVal("v"), Rows: []Row{
+		{Values: []dataformat.Value{dataformat.StrVal("v"), dataformat.StrVal("")}},
+		{Values: []dataformat.Value{}},
+	}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := DecodeGroup(data)
 		if err != nil {
 			return
+		}
+		if enc := EncodeGroup(g); !bytes.Equal(enc, data) {
+			t.Fatalf("re-encode changed the bytes: %x vs %x", enc, data)
 		}
 		if _, err := DecodeGroup(EncodeGroup(g)); err != nil {
 			t.Fatalf("re-decode failed: %v", err)

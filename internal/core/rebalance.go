@@ -60,6 +60,7 @@ func Rebalance(comm *mpi.Comm, d *Dataset, policy DistrPolicy) (*Dataset, *Rebal
 	// ranks as the partitions.
 	outbound := make([][]byte, p)
 	var moved int64
+	var entry []byte
 	for i := int64(0); i < n; i++ {
 		g := offset + i
 		var dst int
@@ -68,11 +69,10 @@ func Rebalance(comm *mpi.Comm, d *Dataset, policy DistrPolicy) (*Dataset, *Rebal
 		} else {
 			dst = int(((g+1)*int64(p)+total-1)/total) - 1
 		}
-		var entry []byte
 		if d.Packed {
-			entry = encodeEntryGroup(d.Groups[i])
+			entry = AppendEntry(entry[:0], Row{}, &d.Groups[i])
 		} else {
-			entry = encodeEntryRow(d.Rows[i])
+			entry = AppendEntry(entry[:0], d.Rows[i], nil)
 		}
 		if dst != me {
 			moved++
@@ -91,15 +91,16 @@ func Rebalance(comm *mpi.Comm, d *Dataset, policy DistrPolicy) (*Dataset, *Rebal
 		if err != nil {
 			return nil, nil, err
 		}
+		dec := NewRowDecoder(len(entries), 0)
 		for _, e := range entries {
 			if d.Packed {
-				g, err := DecodeGroup(e[1:])
+				g, err := dec.Group(e[1:])
 				if err != nil {
 					return nil, nil, err
 				}
 				out.Groups = append(out.Groups, g)
 			} else {
-				r, err := DecodeRow(e[1:])
+				r, err := dec.Row(e[1:])
 				if err != nil {
 					return nil, nil, err
 				}

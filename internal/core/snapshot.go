@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -30,14 +31,16 @@ func encodeDataset(d *Dataset) []byte {
 		}
 	}
 	out = appendFramed(out, sch)
-	var payload []byte
+	var payload, entry []byte
 	if d.Packed {
 		for _, g := range d.Groups {
-			payload = appendFramed(payload, EncodeGroup(g))
+			entry = appendGroup(entry[:0], g)
+			payload = appendFramed(payload, entry)
 		}
 	} else {
 		for _, r := range d.Rows {
-			payload = appendFramed(payload, EncodeRow(r))
+			entry = AppendRow(entry[:0], r)
+			payload = appendFramed(payload, entry)
 		}
 	}
 	return appendFramed(out, payload)
@@ -65,15 +68,16 @@ func decodeDataset(buf []byte) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	dec := NewRowDecoder(len(entries), 0)
 	for _, e := range entries {
 		if d.Packed {
-			g, err := DecodeGroup(e)
+			g, err := dec.Group(e)
 			if err != nil {
 				return nil, err
 			}
 			d.Groups = append(d.Groups, g)
 		} else {
-			r, err := DecodeRow(e)
+			r, err := dec.Row(e)
 			if err != nil {
 				return nil, err
 			}
@@ -106,12 +110,13 @@ func (st *execState) snapshotPage() []byte {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	var partBuf []byte
+	var partBuf, rowBuf []byte
 	for _, id := range ids {
-		partBuf = appendFramed(partBuf, encodeUint32(uint32(id)))
+		partBuf = appendFramed(partBuf, binary.LittleEndian.AppendUint32(nil, uint32(id)))
 		var rowsBuf []byte
 		for _, row := range st.partitions[id] {
-			rowsBuf = appendFramed(rowsBuf, EncodeRow(row))
+			rowBuf = AppendRow(rowBuf[:0], row)
+			rowsBuf = appendFramed(rowsBuf, rowBuf)
 		}
 		partBuf = appendFramed(partBuf, rowsBuf)
 	}
@@ -164,8 +169,9 @@ func decodePage(buf []byte) (*pageState, error) {
 			return nil, err
 		}
 		rows := make([]Row, 0, len(rowFrames))
+		dec := NewRowDecoder(len(rowFrames), 0)
 		for _, rf := range rowFrames {
-			row, err := DecodeRow(rf)
+			row, err := dec.Row(rf)
 			if err != nil {
 				return nil, err
 			}

@@ -252,9 +252,13 @@ func DecodeBinary(schema *Schema, buf []byte) ([]Record, error) {
 		return nil, fmt.Errorf("dataformat: %d bytes is not a multiple of record size %d", len(buf), rec)
 	}
 	n := len(buf) / rec
+	w := len(schema.Fields)
+	// Every record's values are carved from one slab, each capped at its
+	// own fields so an append never reaches a neighbour.
+	slab := make([]Value, n*w)
 	out := make([]Record, 0, n)
 	for i := 0; i < n; i++ {
-		r := Record{Schema: schema, Values: make([]Value, len(schema.Fields))}
+		r := Record{Schema: schema, Values: slab[i*w : (i+1)*w : (i+1)*w]}
 		p := buf[i*rec:]
 		for j, f := range schema.Fields {
 			switch f.Type {
@@ -295,43 +299,51 @@ func DecodeText(schema *Schema, buf []byte) ([]Record, error) {
 // a missing delimiter means the record continues past buf — it returns
 // ok=false so the caller can refill; with atEOF true only the final field's
 // terminal newline may be absent, anything else is an error. recIdx is used
-// in error messages only.
+// in error messages only. A complete record becomes one string; its fields
+// are substrings of it.
 func decodeTextRecord(schema *Schema, buf []byte, atEOF bool, recIdx int) (Record, int, bool, error) {
-	r := Record{Schema: schema, Values: make([]Value, len(schema.Fields))}
-	pos := 0
+	// First pass: find where the record ends, allocating nothing.
+	end := 0
 	for j, f := range schema.Fields {
 		d := f.Delimiter
-		idx := bytes.Index(buf[pos:], []byte(d))
+		idx := bytes.Index(buf[end:], []byte(d))
 		if idx < 0 {
 			if !atEOF {
 				return Record{}, 0, false, nil
 			}
 			// Tolerate a final record missing its terminal newline.
 			if j == len(schema.Fields)-1 && d == "\n" {
-				idx = len(buf) - pos
+				idx = len(buf) - end
 			} else {
 				return Record{}, 0, false, fmt.Errorf("dataformat: record %d field %q: missing delimiter %q", recIdx, f.Name, d)
 			}
 		}
-		raw := string(buf[pos : pos+idx])
-		pos += idx + len(d)
-		if pos > len(buf) {
-			pos = len(buf)
+		end = min(end+idx+len(d), len(buf))
+	}
+	// Second pass: the same fields, now as substrings of the record line.
+	line := string(buf[:end])
+	r := Record{Schema: schema, Values: make([]Value, len(schema.Fields))}
+	pos := 0
+	for j, f := range schema.Fields {
+		d := f.Delimiter
+		idx := strings.Index(line[pos:], d)
+		if idx < 0 {
+			idx = len(line) - pos // the final field at EOF, as above
 		}
+		raw := line[pos : pos+idx]
+		pos = min(pos+idx+len(d), len(line))
 		switch f.Type {
 		case String:
 			r.Values[j] = StrVal(raw)
 		case Integer, Long:
-			v := Value{}
-			var perr error
-			v.Int, perr = parseInt(raw)
-			if perr != nil {
-				return Record{}, 0, false, fmt.Errorf("dataformat: record %d field %q: %w", recIdx, f.Name, perr)
+			v, err := parseInt(raw)
+			if err != nil {
+				return Record{}, 0, false, fmt.Errorf("dataformat: record %d field %q: %w", recIdx, f.Name, err)
 			}
-			r.Values[j] = v
+			r.Values[j] = IntVal(v)
 		}
 	}
-	return r, pos, true, nil
+	return r, end, true, nil
 }
 
 func parseInt(s string) (int64, error) {

@@ -29,48 +29,6 @@ type PlanResult struct {
 	JobCounters []*Result
 }
 
-// entry tagging matches the workflow's mixed row/group streams.
-func encRowEntry(r core.Row) []byte     { return append([]byte{0}, core.EncodeRow(r)...) }
-func encGroupEntry(g core.Group) []byte { return append([]byte{1}, core.EncodeGroup(g)...) }
-
-func decEntryRows(buf []byte) ([]core.Row, error) {
-	if len(buf) == 0 {
-		return nil, fmt.Errorf("hadoop: empty entry")
-	}
-	switch buf[0] {
-	case 0:
-		r, err := core.DecodeRow(buf[1:])
-		if err != nil {
-			return nil, err
-		}
-		return []core.Row{r}, nil
-	case 1:
-		g, err := core.DecodeGroup(buf[1:])
-		if err != nil {
-			return nil, err
-		}
-		return g.Rows, nil
-	default:
-		return nil, fmt.Errorf("hadoop: unknown entry tag %d", buf[0])
-	}
-}
-
-func decEntry(buf []byte) (core.Row, *core.Group, error) {
-	if len(buf) == 0 {
-		return core.Row{}, nil, fmt.Errorf("hadoop: empty entry")
-	}
-	switch buf[0] {
-	case 0:
-		r, err := core.DecodeRow(buf[1:])
-		return r, nil, err
-	case 1:
-		g, err := core.DecodeGroup(buf[1:])
-		return core.Row{}, &g, err
-	default:
-		return core.Row{}, nil, fmt.Errorf("hadoop: unknown entry tag %d", buf[0])
-	}
-}
-
 // planState tracks the dataset between jobs: a list of KV files whose
 // values are tagged entries, globally ordered across files.
 type planState struct {
@@ -127,8 +85,10 @@ func ExecutePlanObserved(plan *core.Plan, inputPath, workDir string, numReduce i
 			if err != nil {
 				return err
 			}
+			var buf []byte
 			for _, r := range recs {
-				emit(key, encRowEntry(core.Row{Values: r.Values}))
+				buf = core.AppendEntry(buf[:0], core.Row{Values: r.Values}, nil)
+				emit(key, buf)
 			}
 			return nil
 		},
@@ -194,8 +154,9 @@ func (st *planState) sampleSplitters(col int, desc bool) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+		dec := core.NewRowDecoder(l.Len(), 0)
 		for i := 0; i < l.Len(); i++ {
-			row, _, err := decEntry(l.Value(i))
+			row, _, err := dec.Entry(l.Value(i))
 			if err != nil {
 				return nil, err
 			}
@@ -261,7 +222,7 @@ func (st *planState) runSort(j *core.SortJob) error {
 		Input:          Input{Paths: st.files},
 		NumReduceTasks: st.reduces,
 		Map: func(key, value []byte, emit Emit) error {
-			row, _, err := decEntry(value)
+			row, _, err := core.DecodeEntry(value)
 			if err != nil {
 				return err
 			}
@@ -309,7 +270,7 @@ func (st *planState) runGroup(j *core.GroupJob) error {
 		Input:          Input{Paths: st.files},
 		NumReduceTasks: st.reduces,
 		Map: func(key, value []byte, emit Emit) error {
-			row, _, err := decEntry(value)
+			row, _, err := core.DecodeEntry(value)
 			if err != nil {
 				return err
 			}
@@ -317,13 +278,14 @@ func (st *planState) runGroup(j *core.GroupJob) error {
 			return nil
 		},
 		Reduce: func(key []byte, values [][]byte, emit Emit) error {
-			members := make([]core.Row, 0, len(values))
-			for _, v := range values {
-				row, _, err := decEntry(v)
-				if err != nil {
+			// Spare capacity lets the add-on attributes append in place.
+			dec := core.NewRowDecoder(len(values), len(addons))
+			members := make([]core.Row, len(values))
+			for i, v := range values {
+				var err error
+				if members[i], _, err = dec.Entry(v); err != nil {
 					return err
 				}
-				members = append(members, row)
 			}
 			attrs := make([]dataformat.Value, len(addons))
 			for i, a := range addons {
@@ -338,11 +300,13 @@ func (st *planState) runGroup(j *core.GroupJob) error {
 			}
 			if pack {
 				g := core.Group{Key: members[0].Values[col], Rows: members}
-				emit(key, encGroupEntry(g))
+				emit(key, core.AppendEntry(nil, core.Row{}, &g))
 				return nil
 			}
+			var buf []byte
 			for _, m := range members {
-				emit(key, encRowEntry(m))
+				buf = core.AppendEntry(buf[:0], m, nil)
+				emit(key, buf)
 			}
 			return nil
 		},
@@ -368,7 +332,7 @@ func (st *planState) runSplit(j *core.SplitJob) error {
 		Input:       Input{Paths: st.files},
 		MapBranches: len(branches),
 		MultiMap: func(key, value []byte, emit MultiEmit) error {
-			row, group, err := decEntry(value)
+			row, group, err := core.DecodeEntry(value)
 			if err != nil {
 				return err
 			}
@@ -389,8 +353,10 @@ func (st *planState) runSplit(j *core.SplitJob) error {
 				}
 				switch {
 				case b.Format == "unpack" && group != nil:
+					var buf []byte
 					for _, r := range group.Rows {
-						emit(bi, key, encRowEntry(r))
+						buf = core.AppendEntry(buf[:0], r, nil)
+						emit(bi, key, buf)
 					}
 				default:
 					emit(bi, key, value)
@@ -459,7 +425,7 @@ func (st *planState) runDistribute(j *core.DistributeJob) error {
 					part = int(((int64(i)+1)*int64(np)+total-1)/total) - 1
 				}
 			case core.GraphVertexCut:
-				row, group, err := decEntry(kv.Value)
+				row, group, err := core.DecodeEntry(kv.Value)
 				if err != nil {
 					return err
 				}
@@ -515,19 +481,22 @@ func (st *planState) runDistribute(j *core.DistributeJob) error {
 		if err != nil {
 			return err
 		}
+		dec := core.NewRowDecoder(l.Len(), 0)
 		for i := 0; i < l.Len(); i++ {
-			rows, err := decEntryRows(l.Value(i))
+			rows := st.res.Partitions[p]
+			from := len(rows)
+			rows, err := dec.AppendEntryRows(rows, l.Value(i))
 			if err != nil {
 				return err
 			}
 			if j.RestoreFormat {
-				for i := range rows {
+				for i := from; i < len(rows); i++ {
 					if len(rows[i].Values) > inArity {
 						rows[i].Values = rows[i].Values[:inArity]
 					}
 				}
 			}
-			st.res.Partitions[p] = append(st.res.Partitions[p], rows...)
+			st.res.Partitions[p] = rows
 		}
 	}
 	return nil

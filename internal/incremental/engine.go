@@ -24,7 +24,6 @@ package incremental
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -303,6 +302,7 @@ func (e *Engine) patch(next []entry, seqs [][]int, moved map[int64]bool, arrival
 	}
 	parts := make([][]core.Row, len(seqs))
 	partIDs := make([][]int64, len(seqs))
+	var gotBuf, wantBuf []byte
 	for q, seq := range seqs {
 		arr := arrivals[q]
 		ai := 0
@@ -324,7 +324,8 @@ func (e *Engine) patch(next []entry, seqs [][]int, moved map[int64]bool, arrival
 			}
 			got := arr[ai]
 			ai++
-			if !bytes.Equal(core.EncodeRow(got), core.EncodeRow(en.row)) {
+			gotBuf, wantBuf = core.AppendRow(gotBuf[:0], got), core.AppendRow(wantBuf[:0], en.row)
+			if !bytes.Equal(gotBuf, wantBuf) {
 				return nil, nil, fmt.Errorf("partition %d: arrival %d differs from the canonical row", q, ai-1)
 			}
 			rows[i] = got
@@ -348,6 +349,7 @@ func (e *Engine) adopt(seqs [][]int, parts [][]core.Row, np int) error {
 	newParts := make([][]core.Row, len(seqs))
 	newIDs := make([][]int64, len(seqs))
 	assign := make(map[int64]int, len(e.entries))
+	var gotBuf, wantBuf []byte
 	for q, seq := range seqs {
 		if len(parts[q]) != len(seq) {
 			return fmt.Errorf("partition %d: model has %d rows, executor %d", q, len(seq), len(parts[q]))
@@ -355,7 +357,8 @@ func (e *Engine) adopt(seqs [][]int, parts [][]core.Row, np int) error {
 		ids := make([]int64, len(seq))
 		for i, idx := range seq {
 			en := e.entries[idx]
-			if !bytes.Equal(core.EncodeRow(en.row), core.EncodeRow(parts[q][i])) {
+			gotBuf, wantBuf = core.AppendRow(gotBuf[:0], parts[q][i]), core.AppendRow(wantBuf[:0], en.row)
+			if !bytes.Equal(gotBuf, wantBuf) {
 				return fmt.Errorf("partition %d: row %d differs from the canonical row", q, i)
 			}
 			ids[i] = en.id
@@ -461,19 +464,9 @@ func (e *Engine) Partitions() [][]core.Row {
 	return append([][]core.Row(nil), e.parts...)
 }
 
-// Checksum fingerprints the resident partitions with the same FNV-64a
-// scheme papard uses for its crash-recovery invariants.
-func (e *Engine) Checksum() uint64 {
-	h := fnv.New64a()
-	for _, part := range e.parts {
-		for _, r := range part {
-			h.Write(core.EncodeRow(r))
-			h.Write([]byte{0})
-		}
-		h.Write([]byte{0xFF})
-	}
-	return h.Sum64()
-}
+// Checksum fingerprints the resident partitions with the scheme papard uses
+// for its crash-recovery invariants (core.FingerprintPartitions).
+func (e *Engine) Checksum() uint64 { return core.FingerprintPartitions(e.parts) }
 
 // spreadRows splits rows into nranks contiguous chunks, mirroring what the
 // input splitter hands each rank.

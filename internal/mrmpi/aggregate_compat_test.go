@@ -3,6 +3,8 @@ package mrmpi
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 // kvSignature flattens per-rank snapshots into comparable strings.
@@ -52,7 +54,8 @@ func TestAggregateCompatibleSkipsWhenPlaced(t *testing.T) {
 		}
 		return mr.Aggregate(HashPartitioner)
 	})
-	var skippedAll bool
+	// One slot per rank: every rank goroutine records its own skip.
+	skipped := make([]bool, cluster.DefaultConfig(2).Size())
 	compat := snapshotStrings(t, 2, func(mr *MapReduce) error {
 		if err := emitKeys(mr); err != nil {
 			return err
@@ -60,18 +63,23 @@ func TestAggregateCompatibleSkipsWhenPlaced(t *testing.T) {
 		if err := mr.Aggregate(HashPartitioner); err != nil {
 			return err
 		}
-		skipped, err := mr.AggregateCompatible(HashPartitioner)
+		skip, err := mr.AggregateCompatible(HashPartitioner)
 		if err != nil {
 			return err
 		}
-		if !skipped {
+		if !skip {
 			return fmt.Errorf("placement is compatible after a hash aggregate; skip expected")
 		}
-		skippedAll = true
+		skipped[mr.Comm().Rank()] = true
 		return nil
 	})
-	if !skippedAll {
-		t.Fatal("skip path never taken")
+	if len(compat) != len(skipped) {
+		t.Fatalf("%d ranks ran, want %d", len(compat), len(skipped))
+	}
+	for rank, ok := range skipped {
+		if !ok {
+			t.Errorf("rank %d never took the skip path", rank)
+		}
 	}
 	if kvSignature(full) != kvSignature(compat) {
 		t.Fatalf("skip path diverged from full aggregate:\nfull:\n%s\ncompat:\n%s",

@@ -138,8 +138,10 @@ func TestSpillCheckpointRestore(t *testing.T) {
 	cl := cluster.New(cluster.DefaultConfig(1))
 	base := t.TempDir()
 	_, err := cl.Run(func(r *cluster.Rank) error {
+		// Every rank claims its own directories: a spill store owns its Dir.
 		open := func(sub string) *spill.Store {
-			st, err := spill.Open(spill.Config{Dir: filepath.Join(base, sub), Rank: r.ID()})
+			dir := filepath.Join(base, fmt.Sprintf("%s-%03d", sub, r.ID()))
+			st, err := spill.Open(spill.Config{Dir: dir, Rank: r.ID()})
 			if err != nil {
 				t.Errorf("Open: %v", err)
 			}
@@ -213,7 +215,7 @@ func TestSpillDiskFaultSurfacesTyped(t *testing.T) {
 	base := t.TempDir()
 	_, err := cl.Run(func(r *cluster.Rank) error {
 		st, err := spill.Open(spill.Config{
-			Dir:  filepath.Join(base, "rot"),
+			Dir:  filepath.Join(base, fmt.Sprintf("rot-%03d", r.ID())),
 			Rank: r.ID(),
 			Plan: cl.FaultPlan(),
 		})
@@ -239,7 +241,7 @@ func TestSpillDiskFaultSurfacesTyped(t *testing.T) {
 	cl2.SetFaultPlan(&faults.Plan{Seed: 5, Disk: faults.Disk{RotProb: 1}})
 	_, err = cl2.Run(func(r *cluster.Rank) error {
 		st, err := spill.Open(spill.Config{
-			Dir:  filepath.Join(base, "rot2"),
+			Dir:  filepath.Join(base, fmt.Sprintf("rot2-%03d", r.ID())),
 			Rank: r.ID(),
 			Plan: cl2.FaultPlan(),
 		})

@@ -52,7 +52,7 @@ func TestDeltaJobMatchesFromScratch(t *testing.T) {
 		t.Errorf("delta job moved %d rows, want > 0", j.MovedRows)
 	}
 	de := engineFor(t, s, deltaSpec())
-	if got := fingerprintPartitions(de.eng.Partitions()); got != j.Checksum {
+	if got := core.FingerprintPartitions(de.eng.Partitions()); got != j.Checksum {
 		t.Fatalf("job checksum %016x != engine %016x", j.Checksum, got)
 	}
 	// From-scratch oracle over the engine's final resident rows.
@@ -67,7 +67,7 @@ func TestDeltaJobMatchesFromScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fingerprintPartitions(res.Partitions); got != j.Checksum {
+	if got := core.FingerprintPartitions(res.Partitions); got != j.Checksum {
 		t.Fatalf("delta partitions diverge from scratch: %016x != %016x", j.Checksum, got)
 	}
 }
@@ -224,7 +224,7 @@ func TestResizeJobs(t *testing.T) {
 	if j.MovedRows != 0 {
 		t.Errorf("coalesce moved %d rows over the wire, want 0", j.MovedRows)
 	}
-	if got := fingerprintPartitions(de.eng.Partitions()); got != j.Checksum {
+	if got := core.FingerprintPartitions(de.eng.Partitions()); got != j.Checksum {
 		t.Fatalf("coalesce checksum %016x != engine %016x", j.Checksum, got)
 	}
 }

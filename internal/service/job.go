@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"sync"
@@ -333,22 +332,6 @@ func (rs *runtimes) predict(rt *runtime, ranks int) vtime.Duration {
 	d := planopt.PredictMakespan(rt.plan, rt.stats, ranks)
 	rt.predicted[ranks] = d
 	return d
-}
-
-// fingerprintPartitions hashes the final partitions (FNV-64a over encoded
-// rows with partition separators). Two runs of the same spec on the same
-// rank count must agree — the crash-recovery and retry invariants are
-// stated in terms of this checksum.
-func fingerprintPartitions(parts [][]core.Row) uint64 {
-	h := fnv.New64a()
-	for _, part := range parts {
-		for _, r := range part {
-			h.Write(core.EncodeRow(r))
-			h.Write([]byte{0})
-		}
-		h.Write([]byte{0xFF})
-	}
-	return h.Sum64()
 }
 
 // JobState is a job's lifecycle position.

@@ -565,7 +565,7 @@ func (s *Server) executeAttempt(w *worker, j *Job, attempt int) (attemptResult, 
 		return attemptResult{}, err
 	}
 	out := attemptResult{
-		checksum:   fingerprintPartitions(res.Partitions),
+		checksum:   core.FingerprintPartitions(res.Partitions),
 		makespan:   res.Makespan,
 		wall:       time.Since(start),
 		partitions: len(res.Partitions),

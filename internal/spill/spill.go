@@ -171,10 +171,14 @@ type Config struct {
 	Sink func(Stats)
 }
 
+// ownerFile marks a directory as claimed by one live Store.
+const ownerFile = ".owner"
+
 // Store is one rank's disk tier: a factory for runs and their reader.
 type Store struct {
 	cfg   Config
 	dirs  [2]string
+	owner string  // claim file in Dir; "" once released
 	scale float64 // slowdisk factor; 0 = disk time fully overlapped
 	seq   int64   // frame-write sequence, a fault coordinate
 	next  int64   // next run id
@@ -182,7 +186,10 @@ type Store struct {
 	stats Stats
 }
 
-// Open creates the store's directories and returns it.
+// Open creates the store's directories, claims Dir and returns the store.
+// The claim is an exclusively created owner file that Close removes, so a
+// second live store on the same Dir fails to open instead of deleting the
+// first one's runs.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("spill: Config.Dir required")
@@ -204,6 +211,16 @@ func Open(cfg Config) (*Store, error) {
 			return nil, fmt.Errorf("spill: %w", err)
 		}
 	}
+	owner := filepath.Join(cfg.Dir, ownerFile)
+	f, err := os.OpenFile(owner, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		if os.IsExist(err) {
+			return nil, fmt.Errorf("spill: directory %s is claimed by another store (remove %s if none is running)", cfg.Dir, owner)
+		}
+		return nil, fmt.Errorf("spill: %w", err)
+	}
+	f.Close()
+	s.owner = owner
 	return s, nil
 }
 
@@ -463,6 +480,8 @@ func (s *Store) Remove(r *Run) {
 }
 
 // Close removes every live run and the store's directories (best-effort).
+// The claim on Dir is released last, so a store opened on the same Dir
+// afterwards never races this one's cleanup.
 func (s *Store) Close() {
 	for _, r := range s.live {
 		for i, p := range r.paths {
@@ -473,9 +492,20 @@ func (s *Store) Close() {
 		}
 	}
 	s.live = map[int64]*Run{}
-	for _, d := range s.dirs {
-		os.RemoveAll(d)
+	if s.owner == "" {
+		return
 	}
+	os.RemoveAll(s.dirs[1])
+	if ents, err := os.ReadDir(s.dirs[0]); err == nil {
+		for _, e := range ents {
+			if e.Name() != ownerFile {
+				os.RemoveAll(filepath.Join(s.dirs[0], e.Name()))
+			}
+		}
+	}
+	os.Remove(s.owner)
+	os.Remove(s.dirs[0])
+	s.owner = ""
 }
 
 // Reader streams one run's frames back as decoded keyval lists.

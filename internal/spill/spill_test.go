@@ -256,6 +256,35 @@ func TestRemoveDeletesFiles(t *testing.T) {
 	}
 }
 
+// TestOpenClaimsDirExclusively pins the directory claim: a second live store
+// on the same Dir fails to open (rather than later deleting the first one's
+// runs on Close), and the claim is released by Close.
+func TestOpenClaimsDirExclusively(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "spill")
+	first, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	r, err := first.WriteRun(testList(50))
+	if err != nil {
+		t.Fatalf("WriteRun: %v", err)
+	}
+	if second, err := Open(Config{Dir: dir}); err == nil {
+		second.Close()
+		t.Fatal("second live store on the same directory opened")
+	}
+	assertSame(t, testList(50), readBack(t, first, r))
+	first.Close()
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("Close left %s behind (stat: %v)", dir, err)
+	}
+	again, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen after Close: %v", err)
+	}
+	again.Close()
+}
+
 func TestScanRunMatchesReader(t *testing.T) {
 	s := openTestStore(t, Config{})
 	in := testList(120)
