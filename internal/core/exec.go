@@ -656,39 +656,16 @@ func (st *execState) runSplit(j *SplitJob) error {
 	for i := range branchData {
 		branchData[i] = &Dataset{Schema: st.data.Schema, Packed: st.data.Packed}
 	}
-	route := func(key int64) (int, error) {
-		for i, b := range j.Branches {
-			if b.Condition.Eval(key) {
-				return i, nil
-			}
-		}
-		return 0, fmt.Errorf("core: split %s: key %d matches no condition", j.ID, key)
-	}
-	if st.data.Packed {
-		for _, g := range st.data.Groups {
-			if len(g.Rows) == 0 {
-				continue
-			}
-			key, err := g.Rows[0].Values[col].AsInt()
-			if err != nil {
-				return err
-			}
-			bi, err := route(key)
-			if err != nil {
-				return err
-			}
-			branchData[bi].Groups = append(branchData[bi].Groups, g)
-		}
-	} else {
-		for _, row := range st.data.Rows {
-			key, err := row.Values[col].AsInt()
-			if err != nil {
-				return err
-			}
-			bi, err := route(key)
-			if err != nil {
-				return err
-			}
+	for i := 0; i < st.data.Len(); i++ {
+		row, group := st.data.entry(i)
+		bi, err := j.RouteEntry(col, row, group)
+		switch {
+		case err != nil:
+			return err
+		case bi < 0:
+		case group != nil:
+			branchData[bi].Groups = append(branchData[bi].Groups, *group)
+		default:
 			branchData[bi].Rows = append(branchData[bi].Rows, row)
 		}
 	}
@@ -743,9 +720,17 @@ func (st *execState) runDistribute(j *DistributeJob) error {
 	// Emit (partition, entry) pairs. Each branch is assigned independently,
 	// matching the paper's per-format permutation matrices (L^4_3 for the
 	// high-degree branch, L^3_3 for the low-degree branch in Fig. 11).
+	var key [4]byte
+	var buf []byte
 	if err := st.mr.Map(func(emit mrmpi.Emitter) error {
 		for _, d := range inputs {
-			if err := st.assignPartitions(d, j.Policy, np, emit); err != nil {
+			if err := st.eachAssignment(d, j.Policy, np, func(i, part int) error {
+				binary.LittleEndian.PutUint32(key[:], uint32(part))
+				row, group := d.entry(i)
+				buf = AppendEntry(buf[:0], row, group)
+				emit(key[:], buf)
+				return nil
+			}); err != nil {
 				return err
 			}
 		}
@@ -788,23 +773,6 @@ func (st *execState) runDistribute(j *DistributeJob) error {
 	return nil
 }
 
-// assignPartitions routes each entry of d to a partition under the policy
-// and emits (partition, encoded entry).
-func (st *execState) assignPartitions(d *Dataset, policy DistrPolicy, np int, emit mrmpi.Emitter) error {
-	var key [4]byte
-	var buf []byte
-	return st.eachAssignment(d, policy, np, func(i, part int) error {
-		binary.LittleEndian.PutUint32(key[:], uint32(part))
-		if d.Packed {
-			buf = AppendEntry(buf[:0], Row{}, &d.Groups[i])
-		} else {
-			buf = AppendEntry(buf[:0], d.Rows[i], nil)
-		}
-		emit(key[:], buf)
-		return nil
-	})
-}
-
 // eachAssignment computes every local entry's partition under the policy and
 // calls visit(i, part) in entry order. It performs the collective offset
 // bookkeeping (exclusive scan; an allgather for Balanced) and charges the
@@ -828,29 +796,13 @@ func (st *execState) eachAssignment(d *Dataset, policy DistrPolicy, np int, visi
 	st.comm.Cluster().Charge(st.comm.Cluster().Compute().ScanCost(n, 0))
 	for i := 0; i < n; i++ {
 		var part int
-		switch policy {
-		case Cyclic:
-			part = int((offset + int64(i)) % int64(np))
-		case Block:
-			if total == 0 {
-				part = 0
-			} else {
-				// Partition boundaries follow the lo = N*p/np convention
-				// (identical to muBLASTP's own block splitter), i.e. global
-				// index g belongs to partition ceil((g+1)*np/N) - 1.
-				g := offset + int64(i)
-				part = int(((g+1)*int64(np)+total-1)/total) - 1
-			}
-		case GraphVertexCut:
-			if d.Packed {
-				part = HashValue(d.Groups[i].Key, np)
-			} else {
-				part = HashValue(d.Rows[i].Values[0], np)
-			}
-		case Balanced:
+		if policy == Balanced {
 			part = balancedAssign[i]
-		default:
-			return fmt.Errorf("core: unhandled policy %v", policy)
+		} else {
+			row, group := d.entry(i)
+			if part, err = policy.Place(np, offset+int64(i), total, row, group); err != nil {
+				return err
+			}
 		}
 		if err := visit(i, part); err != nil {
 			return err

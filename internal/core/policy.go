@@ -73,6 +73,66 @@ func (p DistrPolicy) String() string {
 	}
 }
 
+// IndexBased reports whether the policy places an entry by its global index
+// alone (cyclic, block): one exclusive scan decides every placement, so the
+// shuffle can be elided, live data rebalanced and partitions relabelled.
+func (p DistrPolicy) IndexBased() bool { return p == Cyclic || p == Block }
+
+// Place returns the partition in [0, np) of the entry at global index g of
+// total: the policy's stride-permutation matrix (§III-B) applied to one
+// entry. Cyclic is L^n_np (g mod np); block is the identity cut at the
+// lo = N*p/np boundaries of muBLASTP's block splitter. GraphVertexCut hashes
+// a packed entry's group key, or a flat row's first column (the out-vertex);
+// only it reads row and group. Balanced (a global LPT pass) and Auto (not yet
+// bound) have no per-entry rule and are errors.
+func (p DistrPolicy) Place(np int, g, total int64, row Row, group *Group) (int, error) {
+	switch p {
+	case Cyclic:
+		return int(g % int64(np)), nil
+	case Block:
+		if total == 0 {
+			return 0, nil
+		}
+		return int(((g+1)*int64(np)+total-1)/total) - 1, nil
+	case GraphVertexCut:
+		if group != nil {
+			return HashValue(group.Key, np), nil
+		}
+		return HashValue(row.Values[0], np), nil
+	default:
+		return 0, fmt.Errorf("core: policy %v has no per-entry placement", p)
+	}
+}
+
+// Route returns the index of the first branch whose condition holds for key:
+// the Split job's first-match rule (Fig. 11 step 4). A key no condition
+// matches is an error rather than a silent drop.
+func (j *SplitJob) Route(key int64) (int, error) {
+	for i, b := range j.Branches {
+		if b.Condition.Eval(key) {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("core: split %s: key %d matches no condition", j.ID, key)
+}
+
+// RouteEntry routes one entry by its key column col. Every member of a packed
+// group shares the split key, so the first member routes the whole group; an
+// empty group routes nowhere (-1).
+func (j *SplitJob) RouteEntry(col int, row Row, group *Group) (int, error) {
+	if group != nil {
+		if len(group.Rows) == 0 {
+			return -1, nil
+		}
+		row = group.Rows[0]
+	}
+	key, err := row.Values[col].AsInt()
+	if err != nil {
+		return 0, err
+	}
+	return j.Route(key)
+}
+
 // HashValue buckets a value into [0, n) with a stable hash — used by the
 // graphVertexCut policy and the shuffle partitioners. Strings and the
 // numbers they parse to hash identically, so text and binary inputs

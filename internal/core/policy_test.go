@@ -121,3 +121,67 @@ func TestParseSplitPolicyWhitespaceTolerant(t *testing.T) {
 		t.Fatalf("conds = %v, %v", conds, err)
 	}
 }
+
+// TestPlaceIndexBased pins the two stride-permutation placements: cyclic
+// stripes g mod np, and block cuts 10 entries over 4 partitions at the
+// lo = N*p/np boundaries (0,2,5,7), i.e. sizes 2,3,2,3.
+func TestPlaceIndexBased(t *testing.T) {
+	want := map[DistrPolicy][]int{
+		Cyclic: {0, 1, 2, 3, 0, 1, 2, 3, 0, 1},
+		Block:  {0, 0, 1, 1, 1, 2, 2, 3, 3, 3},
+	}
+	for policy, parts := range want {
+		if !policy.IndexBased() {
+			t.Errorf("%v is not index-based", policy)
+		}
+		for g, w := range parts {
+			got, err := policy.Place(4, int64(g), int64(len(parts)), Row{}, nil)
+			if err != nil || got != w {
+				t.Errorf("%v.Place(g=%d) = %d, %v; want %d", policy, g, got, err, w)
+			}
+		}
+	}
+	for _, p := range []DistrPolicy{GraphVertexCut, Balanced, Auto} {
+		if p.IndexBased() {
+			t.Errorf("%v reported index-based", p)
+		}
+	}
+}
+
+// TestPlaceVertexCut checks that a packed entry is placed by its group key
+// and a flat row by its first column, and that the policies without a
+// per-entry rule refuse.
+func TestPlaceVertexCut(t *testing.T) {
+	key := dataformat.Value{Int: 17}
+	row := Row{Values: []dataformat.Value{key, {Int: 99}}}
+	group := &Group{Key: key, Rows: []Row{{Values: []dataformat.Value{{Int: 5}}}}}
+	for _, tc := range []struct {
+		row   Row
+		group *Group
+	}{{row, nil}, {Row{}, group}} {
+		got, err := GraphVertexCut.Place(7, 3, 10, tc.row, tc.group)
+		if err != nil || got != HashValue(key, 7) {
+			t.Errorf("Place = %d, %v; want %d", got, err, HashValue(key, 7))
+		}
+	}
+	for _, p := range []DistrPolicy{Balanced, Auto} {
+		if _, err := p.Place(4, 0, 1, row, nil); err == nil {
+			t.Errorf("%v placed an entry on its own", p)
+		}
+	}
+}
+
+func TestSplitRouteFirstMatch(t *testing.T) {
+	j := &SplitJob{ID: "s", Branches: []SplitBranch{
+		{Name: "high", Condition: SplitCondition{Op: ">=", Threshold: 10}},
+		{Name: "mid", Condition: SplitCondition{Op: ">=", Threshold: 5}},
+	}}
+	for key, want := range map[int64]int{12: 0, 10: 0, 7: 1, 5: 1} {
+		if got, err := j.Route(key); err != nil || got != want {
+			t.Errorf("Route(%d) = %d, %v; want %d", key, got, err, want)
+		}
+	}
+	if _, err := j.Route(4); err == nil {
+		t.Error("key matching no condition was routed")
+	}
+}

@@ -37,7 +37,7 @@ type RebalanceStats struct {
 // dataset. The returned dataset holds this rank's new fragment; global
 // entry order (rank-major) is preserved for Block and striped for Cyclic.
 func Rebalance(comm *mpi.Comm, d *Dataset, policy DistrPolicy) (*Dataset, *RebalanceStats, error) {
-	if policy != Cyclic && policy != Block {
+	if !policy.IndexBased() {
 		return nil, nil, fmt.Errorf("core: rebalance supports cyclic and block policies, not %v", policy)
 	}
 	start := comm.Cluster().Clock().Now()
@@ -55,25 +55,18 @@ func Rebalance(comm *mpi.Comm, d *Dataset, policy DistrPolicy) (*Dataset, *Rebal
 		return nil, nil, err
 	}
 
-	// Route each local entry to its destination rank: the same global
-	// stride-permutation arithmetic the distribute operator uses, with
-	// ranks as the partitions.
+	// Route each local entry to its destination rank: the distribute
+	// operator's placement, with ranks as the partitions.
 	outbound := make([][]byte, p)
 	var moved int64
 	var entry []byte
-	for i := int64(0); i < n; i++ {
-		g := offset + i
-		var dst int
-		if policy == Cyclic {
-			dst = int(g % int64(p))
-		} else {
-			dst = int(((g+1)*int64(p)+total-1)/total) - 1
+	for i := 0; i < d.Len(); i++ {
+		row, group := d.entry(i)
+		dst, err := policy.Place(p, offset+int64(i), total, row, group)
+		if err != nil {
+			return nil, nil, err
 		}
-		if d.Packed {
-			entry = AppendEntry(entry[:0], Row{}, &d.Groups[i])
-		} else {
-			entry = AppendEntry(entry[:0], d.Rows[i], nil)
-		}
+		entry = AppendEntry(entry[:0], row, group)
 		if dst != me {
 			moved++
 		}
@@ -93,18 +86,14 @@ func Rebalance(comm *mpi.Comm, d *Dataset, policy DistrPolicy) (*Dataset, *Rebal
 		}
 		dec := NewRowDecoder(len(entries), 0)
 		for _, e := range entries {
-			if d.Packed {
-				g, err := dec.Group(e[1:])
-				if err != nil {
-					return nil, nil, err
-				}
-				out.Groups = append(out.Groups, g)
+			row, group, err := dec.Entry(e)
+			if err != nil {
+				return nil, nil, err
+			}
+			if group != nil {
+				out.Groups = append(out.Groups, *group)
 			} else {
-				r, err := dec.Row(e[1:])
-				if err != nil {
-					return nil, nil, err
-				}
-				out.Rows = append(out.Rows, r)
+				out.Rows = append(out.Rows, row)
 			}
 		}
 	}

@@ -125,6 +125,15 @@ func (d *Dataset) Len() int {
 	return len(d.Rows)
 }
 
+// entry returns top-level entry i in the (row, group) form AppendEntry and
+// Place take: the group when packed, else the row.
+func (d *Dataset) entry(i int) (Row, *Group) {
+	if d.Packed {
+		return Row{}, &d.Groups[i]
+	}
+	return d.Rows[i], nil
+}
+
 // TotalRows returns the number of member rows, unpacking groups.
 func (d *Dataset) TotalRows() int {
 	if !d.Packed {

@@ -2,6 +2,7 @@ package hadoop
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -145,28 +146,22 @@ func (st *planState) sampleSplitters(col int, desc bool) ([][]byte, error) {
 	rng := rand.New(rand.NewSource(1))
 	var sample [][]byte
 	seen := 0
-	for _, path := range st.files {
-		buf, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("hadoop: %w", err)
-		}
-		l, err := keyval.Decode(buf)
+	l, err := readAllKV(st.files)
+	if err != nil {
+		return nil, err
+	}
+	dec := core.NewRowDecoder(l.Len(), 0)
+	for i := 0; i < l.Len(); i++ {
+		row, _, err := dec.Entry(l.Value(i))
 		if err != nil {
 			return nil, err
 		}
-		dec := core.NewRowDecoder(l.Len(), 0)
-		for i := 0; i < l.Len(); i++ {
-			row, _, err := dec.Entry(l.Value(i))
-			if err != nil {
-				return nil, err
-			}
-			key := sortKeyBytes(row, col, desc)
-			seen++
-			if len(sample) < cap {
-				sample = append(sample, key)
-			} else if j := rng.Intn(seen); j < cap {
-				sample[j] = key
-			}
+		key := sortKeyBytes(row, col, desc)
+		seen++
+		if len(sample) < cap {
+			sample = append(sample, key)
+		} else if j := rng.Intn(seen); j < cap {
+			sample[j] = key
 		}
 	}
 	sort.Slice(sample, func(i, j int) bool { return bytes.Compare(sample[i], sample[j]) < 0 })
@@ -326,44 +321,29 @@ func (st *planState) runSplit(j *core.SplitJob) error {
 	if col < 0 {
 		return fmt.Errorf("split key %q missing from schema %v", j.KeyCol, st.schema.Fields)
 	}
-	branches := j.Branches
 	job := &Job{
 		Name:        "split-" + j.ID,
 		Input:       Input{Paths: st.files},
-		MapBranches: len(branches),
+		MapBranches: len(j.Branches),
 		MultiMap: func(key, value []byte, emit MultiEmit) error {
 			row, group, err := core.DecodeEntry(value)
 			if err != nil {
 				return err
 			}
-			probe := row
-			if group != nil {
-				if len(group.Rows) == 0 {
-					return nil
-				}
-				probe = group.Rows[0]
-			}
-			k, err := probe.Values[col].AsInt()
-			if err != nil {
+			bi, err := j.RouteEntry(col, row, group)
+			if err != nil || bi < 0 {
 				return err
 			}
-			for bi, b := range branches {
-				if !b.Condition.Eval(k) {
-					continue
-				}
-				switch {
-				case b.Format == "unpack" && group != nil:
-					var buf []byte
-					for _, r := range group.Rows {
-						buf = core.AppendEntry(buf[:0], r, nil)
-						emit(bi, key, buf)
-					}
-				default:
-					emit(bi, key, value)
+			if j.Branches[bi].Format == "unpack" && group != nil {
+				var buf []byte
+				for _, r := range group.Rows {
+					buf = core.AppendEntry(buf[:0], r, nil)
+					emit(bi, key, buf)
 				}
 				return nil
 			}
-			return fmt.Errorf("split %s: key %d matches no condition", j.ID, k)
+			emit(bi, key, value)
+			return nil
 		},
 	}
 	r, err := st.engine.Run(job)
@@ -371,7 +351,7 @@ func (st *planState) runSplit(j *core.SplitJob) error {
 		return err
 	}
 	st.res.JobCounters = append(st.res.JobCounters, r)
-	for bi, b := range branches {
+	for bi, b := range j.Branches {
 		st.side[b.Name] = r.Outputs[bi]
 	}
 	st.files = nil
@@ -414,35 +394,20 @@ func (st *planState) runDistribute(j *core.DistributeJob) error {
 		out := keyval.NewList(entries.Len())
 		for i := 0; i < entries.Len(); i++ {
 			kv := entries.At(i)
-			var part int
-			switch j.Policy {
-			case core.Cyclic:
-				part = int(int64(i) % int64(np))
-			case core.Block:
-				if total == 0 {
-					part = 0
-				} else {
-					part = int(((int64(i)+1)*int64(np)+total-1)/total) - 1
-				}
-			case core.GraphVertexCut:
-				row, group, err := core.DecodeEntry(kv.Value)
-				if err != nil {
+			// Index-based policies never look at the entry, so only
+			// vertex-cut pays for decoding it.
+			var row core.Row
+			var group *core.Group
+			if !j.Policy.IndexBased() {
+				if row, group, err = core.DecodeEntry(kv.Value); err != nil {
 					return err
 				}
-				if group != nil {
-					part = core.HashValue(group.Key, np)
-				} else {
-					part = core.HashValue(row.Values[0], np)
-				}
-			default:
-				return fmt.Errorf("unhandled policy %v", j.Policy)
 			}
-			key := make([]byte, 4)
-			key[0] = byte(part >> 24)
-			key[1] = byte(part >> 16)
-			key[2] = byte(part >> 8)
-			key[3] = byte(part)
-			out.Add(key, kv.Value)
+			part, err := j.Policy.Place(np, int64(i), total, row, group)
+			if err != nil {
+				return err
+			}
+			out.Add(binary.BigEndian.AppendUint32(nil, uint32(part)), kv.Value)
 		}
 		path := fmt.Sprintf("%s/branch-%d.kv", routedDir, si)
 		if err := os.WriteFile(path, out.Encode(), 0o644); err != nil {
@@ -460,7 +425,7 @@ func (st *planState) runDistribute(j *core.DistributeJob) error {
 			return nil
 		},
 		Partition: func(key []byte, numReduce int) int {
-			return int(uint32(key[0])<<24 | uint32(key[1])<<16 | uint32(key[2])<<8 | uint32(key[3]))
+			return int(binary.BigEndian.Uint32(key))
 		},
 	}
 	r, err := st.engine.Run(job)
@@ -473,11 +438,7 @@ func (st *planState) runDistribute(j *core.DistributeJob) error {
 	inArity := len(st.plan.InputSchema.Fields)
 	st.res.Partitions = make([][]core.Row, np)
 	for p, path := range r.Outputs[0] {
-		buf, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("hadoop: %w", err)
-		}
-		l, err := keyval.Decode(buf)
+		l, err := readAllKV([]string{path})
 		if err != nil {
 			return err
 		}

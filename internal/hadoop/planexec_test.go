@@ -1,8 +1,11 @@
 package hadoop
 
 import (
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/blast"
@@ -125,35 +128,44 @@ func TestBlastPlanOnHadoopMatchesReference(t *testing.T) {
 
 // TestBackendsAgreeOnBlast runs the same plan on both backends (the MR-MPI
 // cluster executor and the Hadoop engine) and requires identical
-// partitions.
+// partitions, for both index-based policies and for a partition count that
+// does not divide the entry count (block's uneven boundaries).
 func TestBackendsAgreeOnBlast(t *testing.T) {
-	const np = 6
 	db := blast.Generate(blast.EnvNR(), 0.0008, 9)
 	dir := t.TempDir()
 	dbPath := filepath.Join(dir, "db.bin")
 	if err := blast.WriteDB(db, dbPath); err != nil {
 		t.Fatal(err)
 	}
-	plan := compilePlan(t, blastWorkflowXML, blast.Schema(), map[string]string{
-		"input_path": dbPath, "output_path": dir, "num_partitions": "6",
-	})
-
-	hres, err := ExecutePlan(plan, dbPath, filepath.Join(dir, "work"), 3)
-	if err != nil {
-		t.Fatal(err)
+	if len(db.Entries)%7 == 0 {
+		t.Fatalf("%d entries: np=7 must not divide the entry count", len(db.Entries))
 	}
-	cl := cluster.New(cluster.DefaultConfig(4))
-	cres, err := core.Execute(cl, plan, core.Input{Path: dbPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hres.Partitions) != np || len(cres.Partitions) != np {
-		t.Fatalf("partition counts: hadoop %d, cluster %d", len(hres.Partitions), len(cres.Partitions))
-	}
-	for p := 0; p < np; p++ {
-		if !reflect.DeepEqual(hres.Partitions[p], cres.Partitions[p]) {
-			t.Fatalf("partition %d differs between backends:\nhadoop: %v\ncluster: %v",
-				p, hres.Partitions[p], cres.Partitions[p])
+	for _, policy := range []string{"roundRobin", "block"} {
+		for _, np := range []int{6, 7} {
+			t.Run(fmt.Sprintf("%s/np=%d", policy, np), func(t *testing.T) {
+				wf := strings.Replace(blastWorkflowXML, `value="roundRobin"`, `value="`+policy+`"`, 1)
+				plan := compilePlan(t, wf, blast.Schema(), map[string]string{
+					"input_path": dbPath, "output_path": dir, "num_partitions": strconv.Itoa(np),
+				})
+				hres, err := ExecutePlan(plan, dbPath, filepath.Join(t.TempDir(), "work"), 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cl := cluster.New(cluster.DefaultConfig(4))
+				cres, err := core.Execute(cl, plan, core.Input{Path: dbPath})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(hres.Partitions) != np || len(cres.Partitions) != np {
+					t.Fatalf("partition counts: hadoop %d, cluster %d", len(hres.Partitions), len(cres.Partitions))
+				}
+				for p := 0; p < np; p++ {
+					if !reflect.DeepEqual(hres.Partitions[p], cres.Partitions[p]) {
+						t.Fatalf("partition %d differs between backends:\nhadoop: %v\ncluster: %v",
+							p, hres.Partitions[p], cres.Partitions[p])
+					}
+				}
+			})
 		}
 	}
 }

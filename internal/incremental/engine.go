@@ -220,7 +220,7 @@ func (e *Engine) Repartition(np int, opts ApplyOptions) (*Report, error) {
 // partition is a union of whole old partitions, so ranks relabel locally
 // (the Spark repartition-vs-coalesce distinction).
 func (e *Engine) Coalesce(np int, opts ApplyOptions) (*Report, error) {
-	if !e.model.indexBased() {
+	if _, ok := e.model.(*indexModel); !ok {
 		return nil, fmt.Errorf("incremental: coalesce requires an index-based policy (cyclic/block); use Repartition for hash placement")
 	}
 	if np <= 0 || e.np%np != 0 {

@@ -18,10 +18,6 @@ type model interface {
 	// sequences returns, per partition, the ordered indexes (into entries)
 	// forming that partition's canonical content at np partitions.
 	sequences(entries []entry, np int) ([][]int, error)
-	// indexBased reports whether assignment is a pure function of the
-	// global entry index (cyclic/block) — the precondition for Coalesce's
-	// no-shuffle relabel.
-	indexBased() bool
 	// name identifies the recognized plan shape for reports and errors.
 	name() string
 }
@@ -46,24 +42,24 @@ func buildModel(plan *core.Plan, ranks int) (model, error) {
 		if !ok || len(d.InputBranches) > 0 {
 			break
 		}
-		if d.Policy != core.Cyclic && d.Policy != core.Block {
+		if !d.Policy.IndexBased() {
 			return nil, fmt.Errorf("incremental: distribute policy %v is not index-based (bind a concrete cyclic/block policy, e.g. via the plan optimizer)", d.Policy)
 		}
-		return &directModel{policy: d.Policy}, nil
+		return &indexModel{col: -1, policy: d.Policy}, nil
 	case 2:
 		s, okS := jobs[0].(*core.SortJob)
 		d, okD := jobs[1].(*core.DistributeJob)
 		if !okS || !okD || len(d.InputBranches) > 0 {
 			break
 		}
-		if d.Policy != core.Cyclic && d.Policy != core.Block {
+		if !d.Policy.IndexBased() {
 			return nil, fmt.Errorf("incremental: post-sort distribute policy %v is not index-based", d.Policy)
 		}
 		col := schema.Index(s.KeyCol)
 		if col < 0 {
 			return nil, fmt.Errorf("incremental: sort key %q missing from input schema", s.KeyCol)
 		}
-		return &sortModel{col: col, desc: s.Descending, policy: d.Policy}, nil
+		return &indexModel{col: col, desc: s.Descending, policy: d.Policy}, nil
 	case 3:
 		g, okG := jobs[0].(*core.GroupJob)
 		sp, okS := jobs[1].(*core.SplitJob)
@@ -89,97 +85,79 @@ func flattenJobs(jobs []core.Job) []core.Job {
 	return out
 }
 
-// assignByIndex applies the executor's index-based placement arithmetic to
-// a global visit order: cyclic is g mod np, block follows the lo = N*p/np
-// boundary convention (global index g belongs to partition
-// ceil((g+1)*np/N)-1), matching eachAssignment exactly.
-func assignByIndex(order []int, np int, policy core.DistrPolicy) ([][]int, error) {
+// indexModel is an index-based Distribute (cyclic|block), optionally after a
+// Sort; it is the only model whose placement Coalesce can relabel locally.
+// Without the sort (col < 0) the global order is E itself. With it, the
+// executor's global order is a stable sort of E by the key column (splitter
+// buckets never separate equal keys, the per-reducer sort is stable, and
+// arrival order inside a reducer is source-rank-major = E order), so the
+// canonical order is exactly sort.SliceStable over E. Either way each entry
+// is placed by its position in that order.
+type indexModel struct {
+	col    int
+	desc   bool
+	policy core.DistrPolicy
+}
+
+func (m *indexModel) sequences(entries []entry, np int) ([][]int, error) {
+	order := make([]int, len(entries))
+	for i := range order {
+		order[i] = i
+	}
+	if m.col >= 0 {
+		sort.SliceStable(order, func(a, b int) bool {
+			c := core.CompareValues(entries[order[a]].row.Values[m.col], entries[order[b]].row.Values[m.col])
+			if m.desc {
+				return c > 0
+			}
+			return c < 0
+		})
+	}
 	seqs := make([][]int, np)
 	total := int64(len(order))
 	for g, idx := range order {
-		var part int
-		switch policy {
-		case core.Cyclic:
-			part = g % np
-		case core.Block:
-			part = int(((int64(g)+1)*int64(np)+total-1)/total) - 1
-		default:
-			return nil, fmt.Errorf("incremental: policy %v is not index-based", policy)
+		part, err := m.policy.Place(np, int64(g), total, core.Row{}, nil)
+		if err != nil {
+			return nil, err
 		}
 		seqs[part] = append(seqs[part], idx)
 	}
 	return seqs, nil
 }
 
-// directModel is a bare Distribute(cyclic|block): partition content is E
-// itself, placed by global arrival index.
-type directModel struct {
-	policy core.DistrPolicy
-}
-
-func (m *directModel) sequences(entries []entry, np int) ([][]int, error) {
-	order := make([]int, len(entries))
-	for i := range order {
-		order[i] = i
+func (m *indexModel) name() string {
+	if m.col < 0 {
+		return "direct-" + m.policy.String()
 	}
-	return assignByIndex(order, np, m.policy)
+	return "sort-" + m.policy.String()
 }
-
-func (m *directModel) indexBased() bool { return true }
-func (m *directModel) name() string     { return "direct-" + m.policy.String() }
-
-// sortModel is Sort followed by an index-based Distribute. The executor's
-// global order is a stable sort of E by the key column (splitter buckets
-// never separate equal keys, the per-reducer sort is stable, and arrival
-// order inside a reducer is source-rank-major = E order), so the canonical
-// order is exactly sort.SliceStable over E.
-type sortModel struct {
-	col    int
-	desc   bool
-	policy core.DistrPolicy
-}
-
-func (m *sortModel) sequences(entries []entry, np int) ([][]int, error) {
-	order := make([]int, len(entries))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		c := core.CompareValues(entries[order[a]].row.Values[m.col], entries[order[b]].row.Values[m.col])
-		if m.desc {
-			return c > 0
-		}
-		return c < 0
-	})
-	return assignByIndex(order, np, m.policy)
-}
-
-func (m *sortModel) indexBased() bool { return true }
-func (m *sortModel) name() string     { return "sort-" + m.policy.String() }
 
 // hybridBranch is one distribute input of the hybrid-cut shape, in emit
 // order.
 type hybridBranch struct {
-	name string
-	cond core.SplitCondition
-	// packed routes whole groups by the group key's hash (the low-degree
-	// "orig" branch); unpacked routes each member row by its first column's
-	// hash (the high-degree "unpack" branch).
+	// split is the branch's index in the split job, the value Route returns.
+	split int
+	// packed places whole groups by their group key (the low-degree "orig"
+	// branch); unpacked places each member row on its own (the high-degree
+	// "unpack" branch).
 	packed bool
 }
 
 // hybridModel mirrors the hybrid-cut pipeline: group rows by the dst-vertex
 // column on the group shuffle's rank (mrmpi.KeyRank over the key string),
-// derive the indegree as the group size, route each group to the first
-// split branch whose bound condition matches, then hash-place per branch.
-// Partition assembly is source-rank-major with per-rank emission in branch
-// order, groups in first-appearance order, members in arrival order — the
-// same invariant chain the byte-identity of the elided distribute rests on.
+// derive the indegree as the group size, route each group with the split
+// job's first-match rule, then place per distribute input. Partition
+// assembly is source-rank-major with per-rank emission in input order,
+// groups in first-appearance order, members in arrival order — the same
+// invariant chain the byte-identity of the elided distribute rests on.
 type hybridModel struct {
 	groupCol int
-	srcCol   int
+	split    *core.SplitJob
+	policy   core.DistrPolicy
 	branches []hybridBranch
-	ranks    int
+	// read marks the split branches some distribute input consumes.
+	read  []bool
+	ranks int
 }
 
 // buildHybridModel validates the group+split+distribute shape and binds the
@@ -204,81 +182,84 @@ func buildHybridModel(schema *core.RowSchema, g *core.GroupJob, sp *core.SplitJo
 	if len(d.InputBranches) == 0 {
 		return nil, fmt.Errorf("incremental: vertex-cut distribute %s must read split branches", d.ID)
 	}
-	byName := map[string]core.SplitBranch{}
-	for _, b := range sp.Branches {
-		byName[b.Name] = b
+	byName := map[string]int{}
+	for i, b := range sp.Branches {
+		if b.Condition.Auto {
+			return nil, fmt.Errorf("incremental: branch %s threshold is auto; bind it with the plan optimizer first", b.Name)
+		}
+		byName[b.Name] = i
 	}
 	branches := make([]hybridBranch, 0, len(d.InputBranches))
+	read := make([]bool, len(sp.Branches))
 	for _, name := range d.InputBranches {
-		b, ok := byName[name]
+		si, ok := byName[name]
 		if !ok {
 			return nil, fmt.Errorf("incremental: distribute input %q is not a split branch", name)
 		}
-		if b.Condition.Auto {
-			return nil, fmt.Errorf("incremental: branch %s threshold is auto; bind it with the plan optimizer first", name)
-		}
-		branches = append(branches, hybridBranch{name: name, cond: b.Condition, packed: b.Format != "unpack"})
+		branches = append(branches, hybridBranch{split: si, packed: sp.Branches[si].Format != "unpack"})
+		read[si] = true
 	}
 	if ranks <= 0 {
 		return nil, fmt.Errorf("incremental: cluster size %d", ranks)
 	}
-	return &hybridModel{groupCol: groupCol, srcCol: 0, branches: branches, ranks: ranks}, nil
+	return &hybridModel{groupCol: groupCol, split: sp, policy: d.Policy, branches: branches, read: read, ranks: ranks}, nil
 }
 
 func (m *hybridModel) sequences(entries []entry, np int) ([][]int, error) {
-	type hgroup struct {
-		members []int
-	}
 	// Route every entry to its group-shuffle rank; the contiguous input
 	// spread makes each rank's arrival stream an E-order filter, so
 	// first-appearance group order and in-group member order both follow E.
-	rankGroups := make([][]*hgroup, m.ranks)
-	index := make([]map[string]*hgroup, m.ranks)
+	// A group is its members' entry indexes.
+	rankGroups := make([][][]int, m.ranks)
+	index := make([]map[string]int, m.ranks)
 	for i := range entries {
 		key := entries[i].row.Values[m.groupCol].AsString()
 		r := mrmpi.KeyRank([]byte(key), m.ranks)
 		if index[r] == nil {
-			index[r] = map[string]*hgroup{}
+			index[r] = map[string]int{}
 		}
-		g := index[r][key]
-		if g == nil {
-			g = &hgroup{}
-			index[r][key] = g
-			rankGroups[r] = append(rankGroups[r], g)
+		gi, ok := index[r][key]
+		if !ok {
+			gi = len(rankGroups[r])
+			index[r][key] = gi
+			rankGroups[r] = append(rankGroups[r], nil)
 		}
-		g.members = append(g.members, i)
+		rankGroups[r][gi] = append(rankGroups[r][gi], i)
 	}
 	seqs := make([][]int, np)
 	for r := 0; r < m.ranks; r++ {
 		// Classify each group by its indegree (= global group size: the
-		// whole key lives on one rank) against the branch conditions in
-		// declaration order, like runSplit's first-match routing.
-		perBranch := make([][]*hgroup, len(m.branches))
+		// whole key lives on one rank), exactly as the split job routes it.
+		perSplit := make([][][]int, len(m.split.Branches))
 		for _, g := range rankGroups[r] {
-			deg := int64(len(g.members))
-			bi := -1
-			for i, b := range m.branches {
-				if b.cond.Eval(deg) {
-					bi = i
-					break
-				}
+			deg := int64(len(g))
+			si, err := m.split.Route(deg)
+			if err != nil {
+				return nil, fmt.Errorf("incremental: %w", err)
 			}
-			if bi < 0 {
-				return nil, fmt.Errorf("incremental: indegree %d matches no split branch", deg)
+			if !m.read[si] {
+				return nil, fmt.Errorf("incremental: indegree %d routes to split branch %s, which the distribute does not read", deg, m.split.Branches[si].Name)
 			}
-			perBranch[bi] = append(perBranch[bi], g)
+			perSplit[si] = append(perSplit[si], g)
 		}
-		for bi, b := range m.branches {
-			for _, g := range perBranch[bi] {
+		for _, b := range m.branches {
+			for _, g := range perSplit[b.split] {
 				if b.packed {
-					first := entries[g.members[0]].row
-					part := core.HashValue(first.Values[m.groupCol], np)
-					seqs[part] = append(seqs[part], g.members...)
-				} else {
-					for _, mi := range g.members {
-						part := core.HashValue(entries[mi].row.Values[m.srcCol], np)
-						seqs[part] = append(seqs[part], mi)
+					// The group key is the first member's group column.
+					key := entries[g[0]].row.Values[m.groupCol]
+					part, err := m.policy.Place(np, 0, 0, core.Row{}, &core.Group{Key: key})
+					if err != nil {
+						return nil, err
 					}
+					seqs[part] = append(seqs[part], g...)
+					continue
+				}
+				for _, mi := range g {
+					part, err := m.policy.Place(np, 0, 0, entries[mi].row, nil)
+					if err != nil {
+						return nil, err
+					}
+					seqs[part] = append(seqs[part], mi)
 				}
 			}
 		}
@@ -286,5 +267,4 @@ func (m *hybridModel) sequences(entries []entry, np int) ([][]int, error) {
 	return seqs, nil
 }
 
-func (m *hybridModel) indexBased() bool { return false }
-func (m *hybridModel) name() string     { return "hybrid-cut" }
+func (m *hybridModel) name() string { return "hybrid-cut" }

@@ -225,7 +225,7 @@ func elideShuffles(p *core.Plan, rw *Rewrite) {
 		if !ok || t.ElideShuffle {
 			continue
 		}
-		if t.Policy != core.Cyclic && t.Policy != core.Block {
+		if !t.Policy.IndexBased() {
 			continue
 		}
 		t.ElideShuffle = true

@@ -1,39 +1,31 @@
 package service
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
+
+	"repro/internal/frame"
 )
 
 // The job journal is the daemon's write-ahead log: every admission decision
 // and terminal job state is appended as one CRC32C-framed record BEFORE the
 // client sees the response, so a kill -9'd daemon can reconstruct exactly
-// which jobs it owes results for. The frame layout mirrors the spill tier's
-// run files (internal/spill):
-//
-//	uint32 magic ("PJL1") | uint32 payloadLen | payload | uint32 crc32c(payload)
-//
-// where payload is one JSON Record. Replay walks frames from the start and
-// stops at the first damaged one — a torn tail from a crash mid-append is
-// expected, not fatal: the file is truncated back to the last good frame and
-// appends resume there. Anything *behind* a valid frame is trusted because
-// the CRC covers it; rot inside the prefix surfaces as a truncated replay,
-// never as a silently corrupted job spec.
+// which jobs it owes results for. Each record is one JSON Record in an
+// internal/frame frame with the magic "PJL1". Replay walks frames from the
+// start and stops at the first damaged one — a torn tail from a crash
+// mid-append is expected, not fatal: the file is truncated back to the last
+// good frame and appends resume there. Anything *behind* a valid frame is
+// trusted because the CRC covers it; rot inside the prefix surfaces as a
+// truncated replay, never as a silently corrupted job spec.
 const (
-	journalMagic     = 0x314C4A50 // "PJL1" little-endian
-	journalHeaderLen = 8
-	journalCRCLen    = 4
+	journalMagic = 0x314C4A50 // "PJL1" little-endian
 
 	// maxRecordLen bounds one record's payload; a length field beyond it is
 	// treated as frame damage rather than an allocation request.
 	maxRecordLen = 1 << 20
 )
-
-var journalCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // Record is one journal entry. Exactly one Type is set per record:
 //
@@ -110,19 +102,8 @@ func replay(data []byte) ([]Record, int64) {
 	var recs []Record
 	off := 0
 	for {
-		if len(data)-off < journalHeaderLen {
-			break
-		}
-		if binary.LittleEndian.Uint32(data[off:]) != journalMagic {
-			break
-		}
-		n := int(binary.LittleEndian.Uint32(data[off+4:]))
-		if n > maxRecordLen || len(data)-off-journalHeaderLen < n+journalCRCLen {
-			break
-		}
-		payload := data[off+journalHeaderLen : off+journalHeaderLen+n]
-		crc := binary.LittleEndian.Uint32(data[off+journalHeaderLen+n:])
-		if crc32.Checksum(payload, journalCRC) != crc {
+		payload, size, err := frame.Next(data[off:], journalMagic, maxRecordLen)
+		if err != nil {
 			break
 		}
 		var rec Record
@@ -130,7 +111,7 @@ func replay(data []byte) ([]Record, int64) {
 			break
 		}
 		recs = append(recs, rec)
-		off += journalHeaderLen + n + journalCRCLen
+		off += size
 	}
 	return recs, int64(off)
 }
@@ -139,19 +120,11 @@ func replay(data []byte) ([]Record, int64) {
 // can tear it (the tail is truncated on the next open) but can never damage
 // a previously acknowledged record.
 func (j *Journal) Append(rec Record) error {
-	payload, err := json.Marshal(rec)
+	buf, err := appendRecord(nil, rec)
 	if err != nil {
-		return fmt.Errorf("service: journal encode: %w", err)
+		return err
 	}
-	if len(payload) > maxRecordLen {
-		return fmt.Errorf("service: journal record of %d bytes exceeds the %d limit", len(payload), maxRecordLen)
-	}
-	frame := make([]byte, 0, journalHeaderLen+len(payload)+journalCRCLen)
-	frame = binary.LittleEndian.AppendUint32(frame, journalMagic)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, journalCRC))
-	if _, err := j.f.Write(frame); err != nil {
+	if _, err := j.f.Write(buf); err != nil {
 		return fmt.Errorf("service: journal append: %w", err)
 	}
 	if j.sync {
@@ -161,6 +134,18 @@ func (j *Journal) Append(rec Record) error {
 	}
 	j.appends++
 	return nil
+}
+
+// appendRecord appends rec's journal frame to dst.
+func appendRecord(dst []byte, rec Record) ([]byte, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("service: journal encode: %w", err)
+	}
+	if len(payload) > maxRecordLen {
+		return nil, fmt.Errorf("service: journal record of %d bytes exceeds the %d limit", len(payload), maxRecordLen)
+	}
+	return frame.Append(dst, journalMagic, payload), nil
 }
 
 // Appends returns the number of records written since open.

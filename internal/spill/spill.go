@@ -8,12 +8,10 @@
 //
 // # Run file layout
 //
-// A run is one file per storage path, `run-%06d.spill`, holding frames:
-//
-//	uint32 magic ("SPF1") | uint32 payloadLen | payload | uint32 crc32c(payload)
-//
-// where payload is exactly one keyval.List wire image (so restore is a
-// validated keyval.Decode). The frame CRC is always on — independent of the
+// A run is one file per storage path, `run-%06d.spill`, holding
+// internal/frame frames (magic "SPF1", CRC32C trailer) whose payload is
+// exactly one keyval.List wire image (so restore is a validated
+// keyval.Decode). The frame CRC is always on — independent of the
 // PAPAR_PAGE_CRC wire trailer — because disk bit rot is precisely the fault
 // this tier exists to detect.
 //
@@ -44,23 +42,20 @@
 package spill
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 
 	"repro/internal/faults"
+	"repro/internal/frame"
 	"repro/internal/keyval"
 	"repro/internal/vtime"
 )
 
 const (
 	// frameMagic marks one frame header; "SPF1" little-endian.
-	frameMagic       = 0x31465053
-	frameHeaderSize  = 8
-	frameTrailerSize = 4
+	frameMagic = 0x31465053
 
 	// DefaultFrameBytes bounds one frame's page payload: large enough to
 	// amortize framing, small enough that restore granularity stays well
@@ -81,9 +76,6 @@ const (
 	DiskLatency        = 100 * vtime.Microsecond
 	DiskBytesPerSecond = 1e9
 )
-
-// castagnoli is the CRC32C table framing every spill frame.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Stats are cumulative spill-tier counters. The same struct carries per-op
 // deltas to the Config.Sink.
@@ -283,11 +275,7 @@ func (s *Store) RecordStall(over int64) {
 
 // frameImage wraps one encoded keyval page in the run-file framing.
 func frameImage(page []byte) []byte {
-	img := make([]byte, 0, frameHeaderSize+len(page)+frameTrailerSize)
-	img = binary.LittleEndian.AppendUint32(img, frameMagic)
-	img = binary.LittleEndian.AppendUint32(img, uint32(len(page)))
-	img = append(img, page...)
-	return binary.LittleEndian.AppendUint32(img, crc32.Checksum(page, castagnoli))
+	return frame.Append(make([]byte, 0, frame.Overhead+len(page)), frameMagic, page)
 }
 
 // WriteRun spills the list's pairs as one new run, carving frames of at most
@@ -513,6 +501,8 @@ type Reader struct {
 	s     *Store
 	run   *Run
 	files [2]*os.File
+	sizes [2]int64 // replica file sizes: the bound on any frame length read
+
 	frame int
 	off   int64
 }
@@ -585,19 +575,24 @@ func (rd *Reader) readFrameFrom(rep int) (*keyval.List, int64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		rd.files[rep] = f
+		fi, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return nil, 0, err
+		}
+		rd.files[rep], rd.sizes[rep] = f, fi.Size()
 	}
 	f := rd.files[rep]
-	var hdr [frameHeaderSize]byte
+	var hdr [frame.HeaderSize]byte
 	if _, err := f.ReadAt(hdr[:], rd.off); err != nil {
-		return nil, 0, fmt.Errorf("truncated frame header: %v", err)
+		return nil, 0, fmt.Errorf("%w: %v", frame.ErrShortHeader, err)
 	}
-	if binary.LittleEndian.Uint32(hdr[:]) != frameMagic {
-		return nil, 0, fmt.Errorf("bad frame magic")
+	plen, err := frame.ParseHeader(hdr[:], frameMagic, rd.sizes[rep]-rd.off-frame.Overhead)
+	if err != nil {
+		return nil, 0, err
 	}
-	plen := int64(binary.LittleEndian.Uint32(hdr[4:]))
-	body := make([]byte, plen+frameTrailerSize)
-	if _, err := f.ReadAt(body, rd.off+frameHeaderSize); err != nil {
+	body := make([]byte, plen+frame.TrailerSize)
+	if _, err := f.ReadAt(body, rd.off+frame.HeaderSize); err != nil {
 		return nil, 0, fmt.Errorf("truncated frame payload: %v", err)
 	}
 	payload := body[:plen]
@@ -605,14 +600,14 @@ func (rd *Reader) readFrameFrom(rep int) (*keyval.List, int64, error) {
 		b := bit % int(8*plen)
 		payload[b/8] ^= 1 << (b % 8)
 	}
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(body[plen:]) {
-		return nil, 0, fmt.Errorf("frame CRC mismatch")
+	if err := frame.Verify(payload, body[plen:]); err != nil {
+		return nil, 0, err
 	}
 	l, err := keyval.Decode(payload)
 	if err != nil {
 		return nil, 0, err
 	}
-	return l, frameHeaderSize + plen + frameTrailerSize, nil
+	return l, frame.Overhead + plen, nil
 }
 
 // ReadRun streams the run's frames through fn. Each list is valid only
@@ -642,37 +637,26 @@ func (s *Store) ReadRun(r *Run, fn func(l *keyval.List) error) error {
 // *IntegrityError, never as garbage pairs or a panic. Lists passed to fn are
 // owned copies, valid only during the call.
 func ScanRun(data []byte, fn func(l *keyval.List) error) error {
-	ie := func(frame int, reason string) error {
-		return &IntegrityError{Frame: frame, Path: "<scan>", Reason: reason}
+	ie := func(n int, reason string) error {
+		return &IntegrityError{Frame: n, Path: "<scan>", Reason: reason}
 	}
-	off, frame := 0, 0
+	off, n := 0, 0
 	for off < len(data) {
-		if len(data)-off < frameHeaderSize+frameTrailerSize {
-			return ie(frame, "truncated frame header")
-		}
-		if binary.LittleEndian.Uint32(data[off:]) != frameMagic {
-			return ie(frame, "bad frame magic")
-		}
-		plen := int(int64(binary.LittleEndian.Uint32(data[off+4:])))
-		if plen > len(data)-off-frameHeaderSize-frameTrailerSize {
-			return ie(frame, "truncated frame payload")
-		}
-		payload := data[off+frameHeaderSize : off+frameHeaderSize+plen]
-		want := binary.LittleEndian.Uint32(data[off+frameHeaderSize+plen:])
-		if crc32.Checksum(payload, castagnoli) != want {
-			return ie(frame, "frame CRC mismatch")
+		payload, size, err := frame.Next(data[off:], frameMagic, len(data))
+		if err != nil {
+			return ie(n, err.Error())
 		}
 		l, err := keyval.DecodeCopy(payload)
 		if err != nil {
-			return ie(frame, err.Error())
+			return ie(n, err.Error())
 		}
 		err = fn(l)
 		l.Release()
 		if err != nil {
 			return err
 		}
-		frame++
-		off += frameHeaderSize + plen + frameTrailerSize
+		n++
+		off += size
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/faults"
@@ -304,4 +305,56 @@ func TestScanRunMatchesReader(t *testing.T) {
 		t.Fatalf("ScanRun: %v", err)
 	}
 	assertSame(t, in, out)
+}
+
+// TestDamagedFrameLengthIsBounded overwrites a run's first frame length with
+// a near-4 GiB value. The reader must reject it against the replica's file
+// size before allocating: unreplicated, the read fails with a typed
+// *IntegrityError; replicated, it fails over to the buddy copy intact.
+func TestDamagedFrameLengthIsBounded(t *testing.T) {
+	for _, replicate := range []bool{false, true} {
+		t.Run(fmt.Sprintf("replicate=%v", replicate), func(t *testing.T) {
+			s := openTestStore(t, Config{Replicate: replicate})
+			in := testList(100)
+			r, err := s.WriteRun(in)
+			if err != nil {
+				t.Fatalf("WriteRun: %v", err)
+			}
+			f, err := os.OpenFile(r.paths[0], os.O_RDWR, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fi, err := f.Stat()
+			if err == nil {
+				_, err = f.WriteAt([]byte{0xF0, 0xFF, 0xFF, 0xFF}, 4)
+			}
+			f.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got := keyval.NewList(r.Pairs())
+			err = s.ReadRun(r, func(l *keyval.List) error { got.AppendList(l); return nil })
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(fi.Size())+1<<20 {
+				t.Fatalf("read of a %d-byte run allocated %d bytes", fi.Size(), grew)
+			}
+			if !replicate {
+				var ie *IntegrityError
+				if !errors.As(err, &ie) {
+					t.Fatalf("want *IntegrityError, got %v", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("ReadRun: %v", err)
+			}
+			assertSame(t, in, got)
+			if s.Stats().Failovers == 0 {
+				t.Fatalf("damaged primary served without a failover")
+			}
+		})
+	}
 }
